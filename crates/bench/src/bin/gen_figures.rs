@@ -8,9 +8,10 @@
 //!             [--figure 6.1|6.2|6.3|6.4] [--table 6.1] [--csv]
 //! ```
 //!
-//! With no `--figure`/`--table` argument every artefact is produced. The
-//! output is plain text (or CSV with `--csv`) so it can be diffed against
-//! `EXPERIMENTS.md`.
+//! With no `--figure`/`--table` argument every artefact is produced. Ids
+//! outside the paper's evaluation section are rejected before any simulation
+//! runs. The output is plain text (or CSV with `--csv`), so it can be diffed
+//! against a golden file.
 
 use std::process::ExitCode;
 
@@ -18,14 +19,61 @@ use refrint_bench::{
     experiment, headline, render_figure_6_1, render_figure_6_2, render_figure_6_3,
     render_figure_6_4, render_table_6_1, sweep, Scale,
 };
+use refrint_energy::report::NormalizedSeries;
 use refrint_workloads::apps::AppPreset;
+
+/// One table or figure of the paper's evaluation section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Artefact {
+    Table6_1,
+    Figure6_1,
+    Figure6_2,
+    Figure6_3,
+    Figure6_4,
+}
+
+impl Artefact {
+    /// Parses the id given to `--table` (`table == true`) or `--figure`.
+    fn parse(table: bool, id: &str) -> Result<Self, String> {
+        match (table, id) {
+            (true, "6.1") => Ok(Artefact::Table6_1),
+            (true, other) => Err(format!("unknown table `{other}` (expected 6.1)")),
+            (false, "6.1") => Ok(Artefact::Figure6_1),
+            (false, "6.2") => Ok(Artefact::Figure6_2),
+            (false, "6.3") => Ok(Artefact::Figure6_3),
+            (false, "6.4") => Ok(Artefact::Figure6_4),
+            (false, other) => Err(format!(
+                "unknown figure `{other}` (expected 6.1, 6.2, 6.3 or 6.4)"
+            )),
+        }
+    }
+}
 
 #[derive(Debug)]
 struct Options {
     scale: Scale,
     apps: Option<Vec<AppPreset>>,
-    artefacts: Vec<String>,
+    artefacts: Vec<Artefact>,
     csv: bool,
+}
+
+impl Options {
+    fn wants(&self, artefact: Artefact) -> bool {
+        self.artefacts.is_empty() || self.artefacts.contains(&artefact)
+    }
+
+    fn print_series(&self, series: &[NormalizedSeries]) {
+        for s in series {
+            print!("{}", if self.csv { s.to_csv() } else { s.to_table() });
+        }
+    }
+
+    fn print_groups(&self, groups: &[(String, Vec<NormalizedSeries>)]) {
+        for (label, group) in groups {
+            println!("-- {label} --");
+            self.print_series(group);
+        }
+    }
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -55,9 +103,9 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.apps = Some(apps);
             }
-            "--figure" | "--table" => {
-                let v = args.next().ok_or("--figure/--table needs a value")?;
-                opts.artefacts.push(v);
+            flag @ ("--figure" | "--table") => {
+                let v = args.next().ok_or(format!("{flag} needs a value"))?;
+                opts.artefacts.push(Artefact::parse(flag == "--table", &v)?);
             }
             "--csv" => opts.csv = true,
             "--help" | "-h" => {
@@ -71,10 +119,6 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
-}
-
-fn wanted(opts: &Options, id: &str) -> bool {
-    opts.artefacts.is_empty() || opts.artefacts.iter().any(|a| a == id)
 }
 
 fn main() -> ExitCode {
@@ -94,7 +138,7 @@ fn main() -> ExitCode {
     );
     let results = sweep(&cfg);
 
-    if wanted(&opts, "6.1") && opts.artefacts.iter().all(|a| a != "6.1-table") {
+    if opts.wants(Artefact::Table6_1) {
         println!("== Table 6.1: application binning ==");
         for line in render_table_6_1(&results) {
             println!("{line}");
@@ -102,74 +146,29 @@ fn main() -> ExitCode {
         println!();
     }
 
-    if wanted(&opts, "6.1") {
+    if opts.wants(Artefact::Figure6_1) {
         println!(
             "== Figure 6.1: L1, L2, L3 & DRAM energy (normalised to full-SRAM memory energy) =="
         );
-        for series in render_figure_6_1(&results) {
-            print!(
-                "{}",
-                if opts.csv {
-                    series.to_csv()
-                } else {
-                    series.to_table()
-                }
-            );
-        }
+        opts.print_series(&render_figure_6_1(&results));
         println!();
     }
 
-    if wanted(&opts, "6.2") {
+    if opts.wants(Artefact::Figure6_2) {
         println!("== Figure 6.2: dynamic, leakage, refresh & DRAM energy (normalised) ==");
-        for (label, group) in render_figure_6_2(&results) {
-            println!("-- {label} --");
-            for series in group {
-                print!(
-                    "{}",
-                    if opts.csv {
-                        series.to_csv()
-                    } else {
-                        series.to_table()
-                    }
-                );
-            }
-        }
+        opts.print_groups(&render_figure_6_2(&results));
         println!();
     }
 
-    if wanted(&opts, "6.3") {
+    if opts.wants(Artefact::Figure6_3) {
         println!("== Figure 6.3: total energy (normalised to full-SRAM system energy) ==");
-        for (label, group) in render_figure_6_3(&results) {
-            println!("-- {label} --");
-            for series in group {
-                print!(
-                    "{}",
-                    if opts.csv {
-                        series.to_csv()
-                    } else {
-                        series.to_table()
-                    }
-                );
-            }
-        }
+        opts.print_groups(&render_figure_6_3(&results));
         println!();
     }
 
-    if wanted(&opts, "6.4") {
+    if opts.wants(Artefact::Figure6_4) {
         println!("== Figure 6.4: execution time (normalised to full-SRAM execution time) ==");
-        for (label, group) in render_figure_6_4(&results) {
-            println!("-- {label} --");
-            for series in group {
-                print!(
-                    "{}",
-                    if opts.csv {
-                        series.to_csv()
-                    } else {
-                        series.to_table()
-                    }
-                );
-            }
-        }
+        opts.print_groups(&render_figure_6_4(&results));
         println!();
     }
 

@@ -1,17 +1,17 @@
-//! Shared harness for the Refrint benchmark suite.
+//! Shared harness for the `gen-figures` and `perfgate` binaries.
 //!
-//! The Criterion benches and the `gen-figures` binary both need the same
-//! thing: run the paper's configuration sweep (Table 5.4) at a chosen scale
-//! and feed the results to the figure generators in `refrint::figures`.
-//! This crate provides those shared entry points so that every table and
-//! figure of the paper has exactly one implementation of its data pipeline.
+//! `gen-figures` runs the paper's configuration sweep (Table 5.4) at a
+//! chosen scale and feeds the results to the figure generators in
+//! `refrint::figures`; this crate holds that pipeline so every table and
+//! figure of the paper has exactly one implementation of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use refrint::experiment::{run_sweep, ExperimentConfig, SweepResults};
+use refrint::experiment::{ExperimentConfig, SweepResults};
 use refrint::figures::{self, AppSelection, HeadlineSummary};
+use refrint::sweep::SweepRunner;
 use refrint_energy::report::NormalizedSeries;
 use refrint_workloads::apps::AppPreset;
 use refrint_workloads::classify::AppClass;
@@ -19,17 +19,12 @@ use refrint_workloads::classify::AppClass;
 pub mod results;
 pub mod throughput;
 
-/// The shared JSON implementation (escaping, rendering helpers, the
-/// typed-error parser), re-exported so bench consumers keep one import
-/// path after its extraction into `refrint-engine`.
-pub use refrint_engine::json;
-
 /// How large a sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// A few thousand references per thread: seconds, for Criterion benches
-    /// and CI. Covers several 50 µs retention periods but not enough idle
-    /// time for the largest WB budgets to expire.
+    /// A few thousand references per thread: seconds, for CI and the
+    /// `gen-figures` golden test. Covers several 50 µs retention periods
+    /// but not enough idle time for the largest WB budgets to expire.
     Smoke,
     /// The default for `gen-figures`: tens of thousands of references per
     /// thread (minutes for the full sweep).
@@ -61,18 +56,15 @@ pub fn experiment(scale: Scale, apps: Option<Vec<AppPreset>>) -> ExperimentConfi
     cfg
 }
 
-/// Runs the sweep for `cfg`, panicking on configuration errors (the bench
-/// harness only ever uses the paper's valid configurations).
+/// Runs the sweep for `cfg` with one worker per CPU, panicking on
+/// configuration errors (the harness only ever uses the paper's valid
+/// configurations). The merge is job-ordered, so the results do not depend
+/// on the worker count.
 #[must_use]
 pub fn sweep(cfg: &ExperimentConfig) -> SweepResults {
-    run_sweep(cfg).expect("paper sweep configurations are valid")
-}
-
-/// One representative application per class — used by the smoke-scale
-/// benches so each figure still exercises all three classes.
-#[must_use]
-pub fn representative_apps() -> Vec<AppPreset> {
-    vec![AppPreset::Fft, AppPreset::Lu, AppPreset::Blackscholes]
+    SweepRunner::new(cfg.clone())
+        .run()
+        .expect("paper sweep configurations are valid")
 }
 
 /// Renders Figure 6.1 from sweep results.
@@ -155,17 +147,11 @@ mod tests {
 
     #[test]
     fn experiment_builder_restricts_apps() {
-        let cfg = experiment(Scale::Smoke, Some(representative_apps()));
+        let apps = vec![AppPreset::Fft, AppPreset::Lu, AppPreset::Blackscholes];
+        let cfg = experiment(Scale::Smoke, Some(apps));
         assert_eq!(cfg.apps.len(), 3);
         assert_eq!(cfg.refs_per_thread, Scale::Smoke.refs_per_thread());
         let full = experiment(Scale::Smoke, None);
         assert_eq!(full.apps.len(), 11);
-    }
-
-    #[test]
-    fn representative_apps_cover_all_classes() {
-        let apps = representative_apps();
-        let classes: std::collections::BTreeSet<_> = apps.iter().map(|a| a.paper_class()).collect();
-        assert_eq!(classes.len(), 3);
     }
 }

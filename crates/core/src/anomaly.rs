@@ -194,7 +194,7 @@ mod tests {
             ..ExperimentConfig::default()
         };
         SweepRunner::new(config)
-            .sequential()
+            .workers(1)
             .run()
             .expect("small sweep runs")
     }

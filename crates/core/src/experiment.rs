@@ -332,22 +332,6 @@ impl SweepResults {
     }
 }
 
-/// Runs the sweep described by `config` on the sequential (single-worker)
-/// path. Use [`crate::sweep::SweepRunner`] directly for the parallel runner
-/// and progress streaming; for any worker count the merged results are
-/// identical to this function's.
-///
-/// # Errors
-///
-/// Returns [`RefrintError::InvalidConfig`] if any derived system
-/// configuration is invalid (e.g. a retention time shorter than the sentry
-/// margin).
-pub fn run_sweep(config: &ExperimentConfig) -> Result<SweepResults, RefrintError> {
-    crate::sweep::SweepRunner::new(config.clone())
-        .sequential()
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,7 +361,10 @@ mod tests {
             traces: Vec::new(),
             ..ExperimentConfig::default()
         };
-        let results = run_sweep(&cfg).unwrap();
+        let results = crate::sweep::SweepRunner::new(cfg)
+            .workers(1)
+            .run()
+            .unwrap();
         assert_eq!(results.sram.len(), 2);
         assert_eq!(results.edram.len(), 4);
         assert!(results.sram_report(AppPreset::Fft).is_some());

@@ -3,8 +3,8 @@
 //!
 //! Each generator takes [`SweepResults`] and produces the same rows/series
 //! the paper plots, normalised to the full-SRAM baseline exactly as the
-//! paper does. The `refrint-bench` crate's `gen-figures` binary and the
-//! Criterion benches call into these functions.
+//! paper does. The `refrint-bench` crate's `gen-figures` binary calls into
+//! these functions.
 
 use refrint_edram::policy::RefreshPolicy;
 use refrint_energy::report::{NormalizedSeries, StackedBar};
@@ -223,7 +223,8 @@ pub fn headline_summary(results: &SweepResults, retention_us: u64) -> Option<Hea
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_sweep, ExperimentConfig};
+    use crate::experiment::ExperimentConfig;
+    use crate::sweep::SweepRunner;
     use refrint_edram::policy::{DataPolicy, TimePolicy};
 
     fn tiny_results() -> SweepResults {
@@ -242,7 +243,7 @@ mod tests {
             traces: Vec::new(),
             ..ExperimentConfig::default()
         };
-        run_sweep(&cfg).unwrap()
+        SweepRunner::new(cfg).workers(1).run().unwrap()
     }
 
     #[test]

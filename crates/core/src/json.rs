@@ -245,7 +245,7 @@ mod tests {
             cores: 2,
             ..ExperimentConfig::default()
         };
-        let results = SweepRunner::new(config).sequential().run().unwrap();
+        let results = SweepRunner::new(config).workers(1).run().unwrap();
         let doc = sweep(&results);
         assert!(parse(&doc).is_ok(), "sweep output must be valid JSON");
         assert!(doc.contains("\"workloads\":[\"lu\"]"));

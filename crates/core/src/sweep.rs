@@ -1,13 +1,13 @@
 //! The parallel sweep runner.
 //!
-//! [`crate::experiment::run_sweep`]'s nested loops ran the paper's 473
-//! simulations strictly sequentially. [`SweepRunner`] shards the same
+//! [`SweepRunner`] is the one entry point for running an [`ExperimentConfig`]
+//! — the paper's 473 simulations, or any subset. It shards the
 //! `(application × retention × policy)` points across `std::thread` workers:
 //! every point is an independent simulation with its own seed-derived
 //! streams, so the runner executes them in any order, streams completions
 //! through a [`ProgressObserver`], and merges the reports into
 //! [`SweepResults`] in the deterministic job order — the merged results are
-//! identical to a sequential run, whatever the worker count.
+//! identical whatever the worker count.
 //!
 //! Custom [`PolicyFactory`] policies ride along with the built-in descriptor
 //! sweep via [`ExperimentConfig::models`]; their reports are keyed by their
@@ -173,7 +173,7 @@ pub fn axis_suffix(protocol: CoherenceProtocol, profile: RetentionProfile) -> St
 ///
 /// Results are merged in deterministic job order, so for a fixed
 /// [`ExperimentConfig`] the output is identical for every worker count
-/// (including the sequential `workers(1)` path).
+/// (including the single-worker `workers(1)` path).
 pub struct SweepRunner {
     config: ExperimentConfig,
     workers: usize,
@@ -212,12 +212,6 @@ impl SweepRunner {
         self
     }
 
-    /// Forces the sequential (single-worker) path.
-    #[must_use]
-    pub fn sequential(self) -> Self {
-        self.workers(1)
-    }
-
     /// Streams completion events to `observer` while the sweep runs.
     #[must_use]
     pub fn observer(mut self, observer: impl ProgressObserver + 'static) -> Self {
@@ -234,7 +228,7 @@ impl SweepRunner {
     /// Builds the deterministic job list: for each workload (applications
     /// first, then traces), the SRAM baseline followed by every
     /// (retention × policy) eDRAM point — descriptor policies first, then
-    /// custom models, mirroring the sequential sweep's nesting order.
+    /// custom models.
     fn jobs(&self) -> Vec<Job> {
         let workloads = self
             .config
@@ -539,7 +533,7 @@ mod tests {
 
     #[test]
     fn parallel_results_match_sequential_results_exactly() {
-        let sequential = SweepRunner::new(tiny_config()).sequential().run().unwrap();
+        let sequential = SweepRunner::new(tiny_config()).workers(1).run().unwrap();
         let parallel = SweepRunner::new(tiny_config()).workers(4).run().unwrap();
         assert_eq!(format!("{sequential:?}"), format!("{parallel:?}"));
     }
@@ -664,7 +658,7 @@ mod tests {
         let mut plain = tiny_config();
         plain.apps = vec![AppPreset::Lu];
         plain.policies = vec![RefreshPolicy::recommended()];
-        let plain = SweepRunner::new(plain).sequential().run().unwrap();
+        let plain = SweepRunner::new(plain).workers(1).run().unwrap();
         assert_eq!(
             format!("{:?}", results.edram_report_named("lu", 50, "R.WB(32,32)")),
             format!("{:?}", plain.edram_report_named("lu", 50, "R.WB(32,32)")),

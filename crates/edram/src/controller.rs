@@ -121,8 +121,7 @@ impl PeriodicBurstModel {
     /// capped at `preemption_window` cycles: the refresh engine yields to a
     /// pending demand access after at most that many line refreshes and then
     /// resumes the burst. This is the model the system simulator uses; the
-    /// uncapped variants above are the most pessimistic readings and are kept
-    /// for the ablation benches.
+    /// uncapped variants above are the most pessimistic readings.
     #[must_use]
     pub fn access_delay_preemptible(
         &self,

@@ -511,7 +511,7 @@ fn run_sweep(config: &ExperimentConfig, anomaly: AnomalyTuning) -> JobOutput {
     // Sequential inside the worker: concurrency comes from the worker
     // pool, and the merged results are identical for any worker count.
     let start = Instant::now();
-    let results = match SweepRunner::new(config.clone()).sequential().run() {
+    let results = match SweepRunner::new(config.clone()).workers(1).run() {
         Ok(results) => results,
         Err(e) => return failure(&e.to_string()),
     };
@@ -644,7 +644,7 @@ mod tests {
             anomaly: AnomalyTuning::default(),
         });
         assert_eq!(out.status, 200);
-        let results = SweepRunner::new(config).sequential().run().unwrap();
+        let results = SweepRunner::new(config).workers(1).run().unwrap();
         let expected = format!("{}\n", refrint::json::sweep(&results));
         assert_eq!(out.body.as_slice(), expected.as_bytes());
     }

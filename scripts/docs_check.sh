@@ -9,6 +9,8 @@
 #      crates/serve/src/lib.rs, and vice versa.
 #   4. Every `--flag` in the docs/serve.md flag table appears in the CLI
 #      usage text.
+#   5. Every `--bin`, `--example` and `--bench` target the docs name is a
+#      real target of the workspace (per `cargo metadata`).
 #
 # Usage: scripts/docs_check.sh [path/to/refrint-cli]
 # (defaults to target/release/refrint-cli; build it first)
@@ -93,6 +95,23 @@ for flag in $documented_flags; do
     printf '%s\n' "$help_output" | grep -qF -- "$flag" ||
         err "docs/serve.md documents serve flag $flag but '$CLI help' does not mention it"
 done
+
+# --- 5. documented build targets exist --------------------------------------
+known_targets=$(cargo metadata --no-deps --format-version 1 --offline | python3 -c '
+import json, sys
+for package in json.load(sys.stdin)["packages"]:
+    for target in package["targets"]:
+        for kind in target["kind"]:
+            print(kind, target["name"])
+' | sort -u)
+[ -n "$known_targets" ] || err "could not list build targets with 'cargo metadata'"
+documented_targets=$(grep -ohE -- '--(bin|example|bench) [A-Za-z0-9_-]+' "${docs[@]}" |
+    sed 's/^--//' | sort -u)
+while IFS= read -r target; do
+    [ -n "$target" ] || continue
+    printf '%s\n' "$known_targets" | grep -qxF "$target" ||
+        err "docs mention '--$target' but the workspace has no such target"
+done <<<"$documented_targets"
 
 if [ "$fail" -ne 0 ]; then
     exit 1

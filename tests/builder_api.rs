@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use refrint::experiment::{run_sweep, ExperimentConfig};
+use refrint::experiment::ExperimentConfig;
 use refrint::prelude::*;
 use refrint::sweep::SweepProgress;
 
@@ -237,19 +237,29 @@ fn sweep_config() -> ExperimentConfig {
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_the_sequential_path() {
-    let sequential = run_sweep(&sweep_config()).expect("sequential sweep runs");
-    for workers in [2, 4] {
-        let parallel = SweepRunner::new(sweep_config())
-            .workers(workers)
+    // With and without custom models: descriptor-only sweeps take the same
+    // merge path as mixed ones and must be pinned on their own.
+    let mut descriptors_only = sweep_config();
+    descriptors_only.models.clear();
+    for config in [sweep_config(), descriptors_only] {
+        let sequential = SweepRunner::new(config.clone())
+            .workers(1)
             .run()
-            .expect("parallel sweep runs");
-        // Byte-identical: the full Debug serialisation (every report, every
-        // stat, every float) must match exactly.
-        assert_eq!(
-            format!("{sequential:?}"),
-            format!("{parallel:?}"),
-            "results diverged with {workers} workers"
-        );
+            .expect("sequential sweep runs");
+        for workers in [2, 4] {
+            let parallel = SweepRunner::new(config.clone())
+                .workers(workers)
+                .run()
+                .expect("parallel sweep runs");
+            // Byte-identical: the full Debug serialisation (every report,
+            // every stat, every float) must match exactly.
+            assert_eq!(
+                format!("{sequential:?}"),
+                format!("{parallel:?}"),
+                "results diverged with {workers} workers ({} models)",
+                config.models.len()
+            );
+        }
     }
 }
 
@@ -285,20 +295,5 @@ fn sweep_runner_streams_progress_and_covers_custom_models() {
             assert!(report.execution_cycles > 0);
             assert!(report.breakdown.is_physical());
         }
-    }
-}
-
-#[test]
-fn sweep_runner_matches_legacy_run_sweep_for_descriptor_points() {
-    let mut cfg = sweep_config();
-    cfg.models.clear();
-    let new = SweepRunner::new(cfg.clone()).workers(2).run().unwrap();
-    let old = run_sweep(&cfg).unwrap();
-    assert_eq!(old.sram.len(), new.sram.len());
-    assert_eq!(old.edram.len(), new.edram.len());
-    for (key, report) in &old.edram {
-        let other = &new.edram[key];
-        assert_eq!(report.execution_cycles, other.execution_cycles, "{key:?}");
-        assert_eq!(report.counts, other.counts, "{key:?}");
     }
 }

@@ -60,10 +60,7 @@ fn local_sweep_bytes() -> Vec<u8> {
         .map(|l| l.parse::<RefreshPolicy>().expect("valid label"))
         .collect();
     cfg.retentions_us = vec![50, 100];
-    let results = SweepRunner::new(cfg)
-        .sequential()
-        .run()
-        .expect("valid sweep");
+    let results = SweepRunner::new(cfg).workers(1).run().expect("valid sweep");
     format!("{}\n", refrint::json::sweep(&results)).into_bytes()
 }
 
@@ -113,7 +110,7 @@ fn coordinator_axis_sweeps_match_the_local_runner() {
     cfg.policies = vec!["R.WB(32,32)".parse::<RefreshPolicy>().expect("valid label")];
     cfg.retentions_us = vec![50];
     let results = SweepRunner::new(cfg)
-        .sequential()
+        .workers(1)
         .run()
         .expect("valid axis sweep");
     let expected = format!("{}\n", refrint::json::sweep(&results)).into_bytes();

@@ -2,7 +2,7 @@
 //! paper artefact must be producible end to end on a reduced sweep, with
 //! well-formed, internally consistent output.
 
-use refrint::experiment::{run_sweep, ExperimentConfig};
+use refrint::experiment::ExperimentConfig;
 use refrint::figures::{
     figure_6_1, figure_6_2, figure_6_3, figure_6_4, headline_summary, table_6_1, AppSelection,
 };
@@ -25,7 +25,10 @@ fn reduced_sweep() -> refrint::SweepResults {
         cores: 8,
         ..ExperimentConfig::default()
     };
-    run_sweep(&cfg).expect("reduced sweep must run")
+    SweepRunner::new(cfg)
+        .workers(1)
+        .run()
+        .expect("reduced sweep must run")
 }
 
 #[test]

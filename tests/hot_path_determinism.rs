@@ -14,9 +14,9 @@
 //! CI even if it is internally self-consistent.
 
 use refrint::experiment::ExperimentConfig;
+use refrint::json;
 use refrint::simulation::{ObsConfig, Simulation};
 use refrint::sweep::SweepRunner;
-use refrint_cli::json;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_workloads::apps::AppPreset;
 

@@ -42,10 +42,7 @@ fn direct_sweep_bytes(apps: Vec<AppPreset>, refs: u64, cores: usize) -> Vec<u8> 
     let mut cfg = ExperimentConfig::quick().with_refs_per_thread(refs);
     cfg.apps = apps;
     cfg.cores = cores;
-    let results = SweepRunner::new(cfg)
-        .sequential()
-        .run()
-        .expect("valid sweep");
+    let results = SweepRunner::new(cfg).workers(1).run().expect("valid sweep");
     format!("{}\n", refrint::json::sweep(&results)).into_bytes()
 }
 
@@ -969,7 +966,7 @@ fn sweep_anomaly_tuning_is_honoured_and_validated() {
         let mut cfg = ExperimentConfig::quick().with_refs_per_thread(400);
         cfg.apps = vec![AppPreset::Lu];
         cfg.cores = 2;
-        let results = SweepRunner::new(cfg).sequential().run().unwrap();
+        let results = SweepRunner::new(cfg).workers(1).run().unwrap();
         let tuning = refrint_obs::anomaly::AnomalyTuning::new(2.5, 3).unwrap();
         format!("{}\n", refrint::json::sweep_tuned(&results, tuning)).into_bytes()
     };
