@@ -14,7 +14,8 @@
 //! * [`recorder`] — the [`Recorder`](recorder::Recorder) the simulator owns:
 //!   exact simulated-cycle attribution per subsystem, sampled host wall-time
 //!   attribution, and a sampled span ring, summarised into an
-//!   [`ObsSummary`](recorder::ObsSummary);
+//!   [`ObsSummary`](recorder::ObsSummary) (packed to a few bytes per span
+//!   as a [`PackedSummary`](recorder::PackedSummary) for retention);
 //! * [`otlp`] — renders a summary as an OTLP-shaped JSON document through
 //!   the shared `refrint_engine::json` emitter, including the per-request
 //!   span-tree documents `refrint-serve` exposes at `GET /jobs/<id>/trace`;
@@ -50,6 +51,6 @@ pub mod timeseries;
 
 pub use critical_path::{fleet_critical_path, CriticalPath, FleetPoint, PathStep};
 pub use log::{Level, LogFormat, Logger};
-pub use recorder::{ObsConfig, ObsSummary, Recorder, SubsystemTotals};
+pub use recorder::{ObsConfig, ObsSummary, PackedSummary, Recorder, SubsystemTotals};
 pub use span::{DispatchSpan, RequestTrace, Span, SpanRing, StageSpan, Subsystem, TraceContext};
 pub use timeseries::TimeSeriesRing;

@@ -232,6 +232,113 @@ impl ObsSummary {
             .map_or(0, |t| t.cycles);
         own as f64 / total as f64
     }
+
+    /// Packs the summary for retention; [`PackedSummary::unpack`] restores
+    /// it exactly.
+    #[must_use]
+    pub fn pack(&self) -> PackedSummary {
+        let mut kinds: Vec<(Subsystem, &'static str)> = Vec::new();
+        let mut bytes = Vec::new();
+        let mut prev_start = 0u64;
+        for span in &self.sampled {
+            let key = (span.subsystem, span.kind);
+            let kind = kinds.iter().position(|&k| k == key).unwrap_or_else(|| {
+                kinds.push(key);
+                kinds.len() - 1
+            });
+            put_varint(&mut bytes, kind as u64);
+            // Zigzag: small deltas of either sign take few bytes.
+            let delta = span.t_start.wrapping_sub(prev_start) as i64;
+            put_varint(&mut bytes, ((delta << 1) ^ (delta >> 63)) as u64);
+            put_varint(&mut bytes, span.dur);
+            put_varint(&mut bytes, span.meta);
+            prev_start = span.t_start;
+        }
+        PackedSummary {
+            sample_every: self.sample_every,
+            per_subsystem: self.per_subsystem.clone().into_boxed_slice(),
+            overwritten: self.overwritten,
+            kinds: kinds.into_boxed_slice(),
+            spans: bytes.into_boxed_slice(),
+        }
+    }
+}
+
+/// An [`ObsSummary`] with its sampled spans packed into bytes, for keeping
+/// many summaries alive cheaply (`refrint-serve` retains one per finished
+/// run job for `GET /jobs/<id>/trace`).
+///
+/// Each span is four LEB128 varints: an index into the summary's table of
+/// distinct `(subsystem, kind)` pairs, the zigzag-encoded wrapping delta
+/// of `t_start` from the previous span, then `dur` and `meta`. Sampled
+/// spans are nearly time-ordered with short durations, so a span takes
+/// about 5 bytes instead of `size_of::<Span>()`.
+#[derive(Debug, Clone)]
+pub struct PackedSummary {
+    sample_every: u32,
+    per_subsystem: Box<[SubsystemTotals]>,
+    overwritten: u64,
+    kinds: Box<[(Subsystem, &'static str)]>,
+    spans: Box<[u8]>,
+}
+
+impl PackedSummary {
+    /// Restores the summary [`ObsSummary::pack`] was called on.
+    #[must_use]
+    pub fn unpack(&self) -> ObsSummary {
+        let mut sampled = Vec::new();
+        let mut pos = 0;
+        let mut t_start = 0u64;
+        while pos < self.spans.len() {
+            let (subsystem, kind) = self.kinds[take_varint(&self.spans, &mut pos) as usize];
+            let zigzag = take_varint(&self.spans, &mut pos);
+            t_start = t_start.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg());
+            sampled.push(Span {
+                subsystem,
+                kind,
+                t_start,
+                dur: take_varint(&self.spans, &mut pos),
+                meta: take_varint(&self.spans, &mut pos),
+            });
+        }
+        ObsSummary {
+            sample_every: self.sample_every,
+            per_subsystem: self.per_subsystem.to_vec(),
+            sampled,
+            overwritten: self.overwritten,
+        }
+    }
+
+    /// Bytes that hold the sampled spans: the encoded stream plus the kind
+    /// table (compare with `sampled.len() * size_of::<Span>()`).
+    #[must_use]
+    pub fn span_bytes(&self) -> usize {
+        self.spans.len() + std::mem::size_of_val(&*self.kinds)
+    }
+}
+
+/// Appends `value` as an LEB128 varint (7 bits per byte, low bits first).
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push((value as u8) | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Reads the LEB128 varint at `*pos` and advances past it.
+fn take_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut value = 0u64;
+    let mut shift = 0;
+    loop {
+        let byte = bytes[*pos];
+        *pos += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return value;
+        }
+        shift += 7;
+    }
 }
 
 impl fmt::Display for ObsSummary {
@@ -321,6 +428,67 @@ mod tests {
         let s = r.summary();
         let starts: Vec<u64> = s.sampled.iter().map(|sp| sp.t_start).collect();
         assert_eq!(starts, vec![0, 4, 8, 12]);
+    }
+
+    fn summary_of(sampled: Vec<Span>) -> ObsSummary {
+        ObsSummary {
+            sampled,
+            ..Recorder::enabled(ObsConfig::full()).summary()
+        }
+    }
+
+    fn span(subsystem: Subsystem, kind: &'static str, t: u64) -> Span {
+        Span {
+            subsystem,
+            kind,
+            t_start: t,
+            dur: t,
+            meta: t,
+        }
+    }
+
+    fn assert_round_trips(summary: &ObsSummary) {
+        let back = summary.pack().unpack();
+        assert_eq!(back.sample_every, summary.sample_every);
+        assert_eq!(back.per_subsystem, summary.per_subsystem);
+        assert_eq!(back.sampled, summary.sampled);
+        assert_eq!(back.overwritten, summary.overwritten);
+    }
+
+    #[test]
+    fn packed_summaries_round_trip_edge_cases() {
+        let mut r = Recorder::enabled(ObsConfig::sampled(3));
+        r.record(Subsystem::Refresh, "stall", 1, 4, 0);
+        let mut empty = r.summary();
+        empty.sampled.clear();
+        empty.overwritten = u64::MAX;
+        assert_round_trips(&empty);
+
+        // Decreasing starts, and u64::MAX in every field: the wrapping
+        // zigzag delta must survive jumps of any size in both directions.
+        let starts = [900, 10, 5, 0, u64::MAX, 0, u64::MAX - 1, 1 << 63, 3];
+        let mut sampled: Vec<Span> = starts
+            .iter()
+            .map(|&t| span(Subsystem::Cache, "a", t))
+            .collect();
+        sampled.push(span(Subsystem::Dram, "b", u64::MAX));
+        sampled.push(span(Subsystem::Dram, "b", 0));
+        assert_round_trips(&summary_of(sampled));
+
+        // More kinds than one varint byte indexes, and the same kind name
+        // under two subsystems.
+        let kinds: Vec<&'static str> = (0..300)
+            .map(|i| &*Box::leak(format!("kind{i}").into_boxed_str()))
+            .collect();
+        let mut sampled: Vec<Span> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, kind)| span(Subsystem::ALL[i % Subsystem::COUNT], kind, i as u64))
+            .collect();
+        sampled.push(span(Subsystem::Noc, kinds[0], 7));
+        let summary = summary_of(sampled);
+        assert_round_trips(&summary);
+        assert_eq!(summary.pack().kinds.len(), 301);
     }
 
     #[test]

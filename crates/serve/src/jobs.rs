@@ -18,7 +18,7 @@ use refrint::simulation::{ObsConfig, SimulationBuilder};
 use refrint::sweep::SweepRunner;
 use refrint_engine::json::escape;
 use refrint_obs::anomaly::AnomalyTuning;
-use refrint_obs::recorder::ObsSummary;
+use refrint_obs::recorder::PackedSummary;
 use refrint_obs::span::{DispatchSpan, RequestTrace, Subsystem};
 use refrint_workloads::apps::AppPreset;
 
@@ -203,9 +203,10 @@ pub struct JobOutput {
     pub queue_nanos: u64,
     /// Host nanoseconds the worker spent executing (0 for cached results).
     pub execute_nanos: u64,
-    /// The run's full observability summary, for the `/jobs/<id>/trace`
-    /// span tree (run jobs only; sweeps and failures carry `None`).
-    pub obs: Option<Arc<ObsSummary>>,
+    /// The run's full observability summary, packed (a retained job keeps
+    /// it until pruned) and unpacked to render the `/jobs/<id>/trace` span
+    /// tree (run jobs only; sweeps and failures carry `None`).
+    pub obs: Option<Arc<PackedSummary>>,
     /// Config label of the executed run (empty for sweeps/failures).
     pub config_label: String,
     /// Workload of the executed run (empty for sweeps/failures).
@@ -499,7 +500,7 @@ fn run_one(builder: &SimulationBuilder, app: Option<AppPreset>) -> JobOutput {
         subsystem_cycles,
         queue_nanos: 0,
         execute_nanos: 0,
-        obs: Some(Arc::new(summary)),
+        obs: Some(Arc::new(summary.pack())),
         config_label: outcome.config_label().to_owned(),
         workload: outcome.workload().to_owned(),
         dispatch: Vec::new(),

@@ -27,10 +27,16 @@
 //!
 //! ```text
 //!  accept loop ──► connection threads ──► bounded MPSC job queue
-//!      │                 │ cache hit? ◄── result cache (canonical key)
-//!      ▼                 ▼                        ▲
-//!  shutdown flag    sync waiters ◄── condvar ── worker pool (simulates)
+//!  (blocking)            │ cache hit? ◄── result cache (canonical key)
+//!      ▲                 ▼                        ▲
+//!  wake connect     sync waiters ◄── condvar ── worker pool (simulates)
+//!      ▲
+//!  shutdown flag ◄── POST /shutdown, RunningServer, SIGTERM (tick thread)
 //! ```
+//!
+//! The accept loop blocks in `accept` and never polls. Raising the
+//! shutdown flag also opens one connection to the listener, which wakes
+//! the loop so it sees the flag and drains.
 //!
 //! Every request is validated before it is queued (typed 4xx errors, never
 //! a dropped connection), the queue is bounded (`503 queue_full` beyond
@@ -56,11 +62,11 @@ pub use refrint_engine::json::escape as json_escape;
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -227,7 +233,15 @@ struct ServerState {
     logger: Logger,
     queue: Mutex<Option<SyncSender<String>>>,
     shutdown: AtomicBool,
-    active_connections: AtomicUsize,
+    /// Where [`ServerState::request_shutdown`] connects to wake the
+    /// blocking accept loop: the listener's address, with an unspecified
+    /// IP mapped to loopback.
+    wake_addr: SocketAddr,
+    /// Connections whose response is not yet written (the
+    /// `max_connections` count); the drain waits on `connections_idle`
+    /// until it reaches zero.
+    active_connections: Mutex<usize>,
+    connections_idle: Condvar,
     next_job: AtomicU64,
     coordinator: Option<Coordinator>,
     disk_cache: Option<DiskCache>,
@@ -242,8 +256,13 @@ impl ServerState {
         format!("j{:08x}", self.next_job.fetch_add(1, Ordering::Relaxed))
     }
 
+    /// Raises the shutdown flag and, the first time, wakes the accept
+    /// loop with one connection to the listener. A connect error is
+    /// ignored: the listener may already be closed.
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     fn shutting_down(&self) -> bool {
@@ -251,14 +270,34 @@ impl ServerState {
     }
 }
 
-/// Decrements the active-connection count when a handler exits, even by
-/// panic.
+/// Decrements the active-connection count once a handler has written its
+/// response (or panicked), and wakes the drain when the last one leaves.
 struct ConnectionGuard(Arc<ServerState>);
 
 impl Drop for ConnectionGuard {
     fn drop(&mut self) {
-        self.0.active_connections.fetch_sub(1, Ordering::SeqCst);
+        let mut active = self
+            .0
+            .active_connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *active -= 1;
+        if *active == 0 {
+            self.0.connections_idle.notify_all();
+        }
     }
+}
+
+/// The address that reaches a listener bound to `addr`: an unspecified IP
+/// (`0.0.0.0` / `::`) becomes loopback of the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// The simulation service: a bound listener plus its worker pool.
@@ -279,6 +318,7 @@ impl Server {
     /// Any socket error from binding.
     pub fn bind(addr: impl ToSocketAddrs, options: ServerOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let wake_addr = wake_addr(listener.local_addr()?);
         let (tx, rx) = std::sync::mpsc::sync_channel::<String>(options.queue_capacity.max(1));
         let worker_count = options.workers.max(1);
         // Metrics and logger come up before the disk cache so a corrupt
@@ -315,7 +355,9 @@ impl Server {
             logger,
             queue: Mutex::new(Some(tx)),
             shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
+            wake_addr,
+            active_connections: Mutex::new(0),
+            connections_idle: Condvar::new(),
             next_job: AtomicU64::new(1),
             coordinator,
             disk_cache,
@@ -371,24 +413,37 @@ impl Server {
             state,
             workers,
         } = self;
-        listener.set_nonblocking(true)?;
-        while !state.shutting_down() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let previous = state.active_connections.fetch_add(1, Ordering::SeqCst);
+        loop {
+            let accepted = listener.accept();
+            // Whatever woke the accept once shutdown is requested — the
+            // wake-up connection or a client racing it — is dropped.
+            if state.shutting_down() {
+                break;
+            }
+            match accepted {
+                Ok((mut stream, _peer)) => {
+                    let previous = {
+                        let mut active = state
+                            .active_connections
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner);
+                        *active += 1;
+                        *active - 1
+                    };
                     let state = Arc::clone(&state);
                     std::thread::spawn(move || {
                         let guard = ConnectionGuard(Arc::clone(&state));
                         handle_connection(
                             &state,
-                            stream,
+                            &mut stream,
                             previous >= state.options.max_connections,
                         );
+                        // The slot is freed before the client can see the
+                        // response end, so a client that reconnects the
+                        // moment it reads EOF never finds it still taken.
                         drop(guard);
+                        close_connection(stream);
                     });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -406,12 +461,13 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        let grace = std::time::Instant::now();
-        while state.active_connections.load(Ordering::SeqCst) > 0
-            && grace.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let active = state
+            .active_connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let _ = state
+            .connections_idle
+            .wait_timeout_while(active, Duration::from_secs(5), |n| *n > 0);
         state.logger.info("drain_done", &[]);
         Ok(())
     }
@@ -597,6 +653,9 @@ fn history_tick_loop(state: &Arc<ServerState>) {
         let slept = Instant::now();
         while slept.elapsed() < interval {
             if state.shutting_down() {
+                // SIGTERM only sets a flag (and `accept` restarts after
+                // the handler), so the wake-up is raised from here.
+                state.request_shutdown();
                 return;
             }
             std::thread::sleep(Duration::from_millis(20).min(interval));
@@ -706,11 +765,8 @@ impl RequestCtx {
     }
 }
 
-fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, over_capacity: bool) {
+fn handle_connection(state: &Arc<ServerState>, stream: &mut TcpStream, over_capacity: bool) {
     let started = std::time::Instant::now();
-    // Accepted sockets may inherit the listener's non-blocking mode on
-    // some platforms; force blocking + timeouts.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(state.options.read_timeout));
     let _ = stream.set_write_timeout(Some(state.options.read_timeout));
     state.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
@@ -729,7 +785,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, over_capac
         )
         .into()
     } else {
-        match http::read_request(&mut stream, state.options.max_body_bytes) {
+        match http::read_request(stream, state.options.max_body_bytes) {
             Ok(request) => {
                 method.clone_from(&request.method);
                 path.clone_from(&request.path);
@@ -747,7 +803,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, over_capac
                         // A streaming response, written chunk by chunk as
                         // the job advances — it cannot go through the
                         // buffered write below.
-                        stream_progress(state, &mut stream, id, started);
+                        stream_progress(state, stream, id, started);
                         return;
                     }
                 }
@@ -760,7 +816,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, over_capac
         state.metrics.http_errors.fetch_add(1, Ordering::Relaxed);
     }
     let write_started = Instant::now();
-    response.write(&mut stream);
+    response.write(stream);
     ctx.stage("write", elapsed_nanos(write_started));
     // Latency includes routing and (for sync submissions) the simulation
     // itself — the duration a client actually experienced.
@@ -802,11 +858,14 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, over_capac
             ],
         );
     }
-    // Drain any unread request bytes before closing: dropping a socket
-    // with data still queued (e.g. an over-limit body rejected before it
-    // was read) can RST the connection and destroy the response we just
-    // wrote before the peer reads it. Signal end-of-response, then
-    // discard briefly and boundedly.
+}
+
+/// Closes a served connection. Drains any unread request bytes first:
+/// dropping a socket with data still queued (e.g. an over-limit body
+/// rejected before it was read) can RST the connection and destroy the
+/// response just written before the peer reads it. Signals end-of-response,
+/// then discards briefly and boundedly.
+fn close_connection(mut stream: TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let mut sink = [0u8; 8 * 1024];
@@ -1192,11 +1251,10 @@ fn trace_response(job: &Job) -> Response {
         ),
     ];
     let output = job.output.as_ref().filter(|_| !job.cached);
-    let sim = output.and_then(|o| {
-        o.obs
-            .as_ref()
-            .map(|obs| (obs.as_ref(), o.config_label.as_str(), o.workload.as_str()))
-    });
+    let obs = output.and_then(|o| o.obs.as_ref().map(|packed| packed.unpack()));
+    let sim = output
+        .zip(obs.as_ref())
+        .map(|(o, obs)| (obs, o.config_label.as_str(), o.workload.as_str()));
     let dispatch = job
         .output
         .as_ref()
@@ -1475,6 +1533,43 @@ mod tests {
         assert!(status.body_str().contains("\"status\":\"done\""));
         let missing = client::get(addr, "/jobs/j9999/result").unwrap();
         assert_eq!(missing.status, 404);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_blocking_accept() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = Server::bind(addr, ServerOptions::default())
+                .expect("bind an ephemeral port")
+                .spawn()
+                .expect("spawn the accept loop");
+            // The watchdog fails the test instead of letting a missed
+            // wake-up hang it.
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                server.shutdown();
+                let _ = done.send(());
+            });
+            assert!(
+                finished.recv_timeout(Duration::from_secs(2)).is_ok(),
+                "shutdown of an idle server bound to {addr} took over 2 s"
+            );
+        }
+    }
+
+    #[test]
+    fn sequential_connections_never_find_their_slot_taken() {
+        // With one connection allowed, each request must find the previous
+        // one's slot already freed: it is released before the response
+        // ends, not after the handler thread winds down.
+        let server = start(ServerOptions {
+            max_connections: 1,
+            ..ServerOptions::default()
+        });
+        for i in 0..200 {
+            let health = client::get(server.addr(), "/healthz").unwrap();
+            assert_eq!(health.status, 200, "request {i}: {}", health.body_str());
+        }
         server.shutdown();
     }
 

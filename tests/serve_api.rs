@@ -907,6 +907,94 @@ fn untraced_requests_mint_deterministic_trace_ids_and_hits_are_traceable() {
     server.shutdown();
 }
 
+/// The in-process observability summary of the run `POST /run` executes
+/// for `{"app": "lu", "refs": 2000, "cores": 4}`.
+fn lu_4core_summary() -> refrint_obs::ObsSummary {
+    let mut sim = Simulation::builder()
+        .edram_recommended()
+        .refs_per_thread(2000)
+        .cores(4)
+        .observability(refrint_obs::ObsConfig::default())
+        .build()
+        .expect("valid configuration");
+    sim.run(AppPreset::Lu);
+    sim.obs_summary()
+}
+
+/// A served job keeps its simulator spans packed; the trace it renders
+/// from them must carry exactly the spans the simulator sampled.
+#[test]
+fn trace_spans_survive_packed_retention_exactly() {
+    let server = start(ServerOptions::default());
+    let addr = server.addr();
+    let response = client::post(
+        addr,
+        "/run",
+        b"{\"app\": \"lu\", \"refs\": 2000, \"cores\": 4}",
+    )
+    .unwrap();
+    assert_eq!(response.status, 200, "{}", response.body_str());
+    let id = response.header("X-Refrint-Job").unwrap().to_owned();
+    let doc = fetch_trace(addr, &id);
+    server.shutdown();
+
+    let served: Vec<(String, String, String, String)> = trace_spans(&doc)
+        .iter()
+        .filter(|s| {
+            let name = span_field(s, "name").unwrap_or("");
+            name != "request" && !name.starts_with("stage/")
+        })
+        .map(|s| {
+            let meta = s
+                .get("attributes")
+                .and_then(Value::as_arr)
+                .and_then(|attrs| {
+                    attrs
+                        .iter()
+                        .find(|a| a.get("key").and_then(Value::as_str) == Some("refrint.meta"))
+                })
+                .and_then(|a| a.get("value"))
+                .and_then(|v| v.get("intValue"))
+                .and_then(Value::as_str)
+                .expect("simulator spans carry refrint.meta");
+            (
+                span_field(s, "name").unwrap().to_owned(),
+                span_field(s, "startTimeUnixNano").unwrap().to_owned(),
+                span_field(s, "endTimeUnixNano").unwrap().to_owned(),
+                meta.to_owned(),
+            )
+        })
+        .collect();
+    let expected: Vec<(String, String, String, String)> = lu_4core_summary()
+        .sampled
+        .iter()
+        .map(|s| {
+            (
+                format!("{}/{}", s.subsystem.name(), s.kind),
+                s.t_start.to_string(),
+                (s.t_start + s.dur).to_string(),
+                s.meta.to_string(),
+            )
+        })
+        .collect();
+    assert!(!expected.is_empty(), "the run samples simulator spans");
+    assert_eq!(served, expected);
+}
+
+/// Packing is what keeps a full job table small: a retained run's spans
+/// take at most a fifth of their unpacked size.
+#[test]
+fn packed_spans_are_at_most_a_fifth_of_the_unpacked_size() {
+    let summary = lu_4core_summary();
+    let unpacked = summary.sampled.len() * std::mem::size_of::<refrint_obs::Span>();
+    let packed = summary.pack().span_bytes();
+    assert!(
+        packed * 5 <= unpacked,
+        "packed {packed} B vs unpacked {unpacked} B for {} spans",
+        summary.sampled.len()
+    );
+}
+
 /// Tracing and logging observe without perturbing: the exact bytes of a
 /// `/run` response are identical whether the request carried a
 /// `traceparent`, whether debug JSON logging is on, and whether the
