@@ -19,6 +19,7 @@ use refrint_mem::addr::{Addr, LineAddr};
 use refrint_mem::cache::Cache;
 use refrint_mem::config::CacheGeometry;
 use refrint_mem::line::MesiState;
+use refrint_mem::replacement::ReplacementKind;
 use refrint_noc::routing::{hop_count, route};
 use refrint_noc::topology::{NodeId, Torus};
 use refrint_workloads::generator::ThreadStream;
@@ -344,4 +345,116 @@ fn spelled_out_uniform_profile_is_the_default_bit_for_bit() {
         );
         assert_eq!(plain.label(), spelled.label(), "case {case}");
     }
+}
+
+/// Folds `words` into a 64-bit FNV-1a digest, byte by byte.
+fn fnv_fold(mut hash: u64, words: &[u64]) -> u64 {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+fn state_code(state: MesiState) -> u64 {
+    match state {
+        MesiState::Invalid => 0,
+        MesiState::Shared => 1,
+        MesiState::Exclusive => 2,
+        MesiState::Modified => 3,
+        MesiState::SharedModified => 4,
+    }
+}
+
+/// Replays a seeded 20k-operation mix of lookups, fills, write hits, state
+/// changes and invalidations on a small 8-set, 4-way cache and digests
+/// everything observable: each hit/miss with the line as it was, each
+/// evicted line, each state-change and invalidation result, and the
+/// occupancy after every operation.
+fn replacement_digest(kind: ReplacementKind) -> u64 {
+    let geometry = CacheGeometry::new(2 * 1024, 4, 64).unwrap();
+    let mut cache = Cache::with_replacement("pin", geometry, kind, 7);
+    let mut rng = DeterministicRng::from_seed(0x5EED_CAC4E);
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    for i in 0..20_000u64 {
+        let line = LineAddr::new(rng.below(96));
+        let now = Cycle::new(i);
+        match rng.below(8) {
+            0..=3 => match cache.lookup_prev(line, now) {
+                Some((prev, hit)) => {
+                    hash = fnv_fold(
+                        hash,
+                        &[
+                            1,
+                            prev.addr.raw(),
+                            state_code(prev.state),
+                            prev.meta.last_touch.raw(),
+                            hit.way as u64,
+                        ],
+                    );
+                }
+                None => {
+                    hash = fnv_fold(hash, &[0]);
+                    let state = if rng.below(3) == 0 {
+                        MesiState::Modified
+                    } else {
+                        MesiState::Exclusive
+                    };
+                    if let Some(evicted) = cache.fill(line, state, now) {
+                        let l = evicted.line;
+                        hash = fnv_fold(
+                            hash,
+                            &[
+                                2,
+                                l.addr.raw(),
+                                state_code(l.state),
+                                l.meta.last_touch.raw(),
+                            ],
+                        );
+                    }
+                }
+            },
+            4 => {
+                if cache.line(line).is_some() {
+                    cache.write_hit(line, now);
+                    hash = fnv_fold(hash, &[3]);
+                }
+            }
+            5 => {
+                let state = [MesiState::Shared, MesiState::SharedModified][rng.below(2) as usize];
+                hash = fnv_fold(hash, &[4, u64::from(cache.set_state(line, state))]);
+            }
+            _ => {
+                let removed = cache.invalidate(line);
+                hash = fnv_fold(hash, &[5, removed.map_or(9, |l| state_code(l.state))]);
+            }
+        }
+        hash = fnv_fold(hash, &[cache.occupancy(), cache.dirty_count()]);
+    }
+    hash
+}
+
+/// Pins the observable behaviour of every replacement policy. The
+/// independent oracle models LRU only, so this digest (recorded on the
+/// per-set layout) is what proves tree-PLRU and random replacement kept
+/// their victim sequences across the flat-array rewrite.
+#[test]
+fn replacement_policies_keep_their_pinned_digests() {
+    let kinds = [
+        ReplacementKind::Lru,
+        ReplacementKind::TreePlru,
+        ReplacementKind::Random,
+    ];
+    let got = kinds.map(replacement_digest);
+    assert_eq!(
+        got,
+        [
+            0xAAD3_C1A3_CBAF_CD51,
+            0x98C1_DD1D_85D1_DE8A,
+            0x8FA8_2D3D_6AFA_8B8D
+        ],
+        "digests for {kinds:?}"
+    );
 }
