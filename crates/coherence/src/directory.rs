@@ -7,8 +7,34 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
+use refrint_engine::rng::splitmix64;
 use refrint_mem::addr::LineAddr;
+
+/// Hashes a directory key — a [`LineAddr`], written as one `u64` — with the
+/// bijective SplitMix64 finalizer. The keys are simulated line addresses
+/// from presets or trace files, not request bytes, so the default DoS-safe
+/// SipHash buys nothing; a bare multiply would leave the low bits, which
+/// pick the bucket, clustered for strided addresses.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A compact bit-set of tiles (cores) sharing a line. Supports up to 64 tiles,
 /// which comfortably covers the paper's 16-core configuration.
@@ -175,7 +201,7 @@ impl DirectoryEntry {
 /// bank(s). Entries are stored sparsely; absent entries mean `Uncached`.
 #[derive(Debug, Clone)]
 pub struct Directory {
-    entries: HashMap<LineAddr, DirectoryEntry>,
+    entries: HashMap<LineAddr, DirectoryEntry, BuildHasherDefault<LineHasher>>,
     num_tiles: usize,
 }
 
@@ -192,7 +218,7 @@ impl Directory {
             "directory supports 1..=64 tiles"
         );
         Directory {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             num_tiles,
         }
     }
@@ -295,6 +321,21 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn line_hash_spreads_strided_addresses_over_low_bits() {
+        // One L3 bank's lines are 16 apart; their hashes' low 12 bits (the
+        // bucket index of a 4096-bucket table) must not cluster. A random
+        // function fills about 63% of the buckets; a bare multiply by an
+        // odd constant would keep the low four bits zero (at most 256).
+        let mut buckets = std::collections::HashSet::new();
+        for i in 0..4096u64 {
+            let mut h = LineHasher::default();
+            std::hash::Hash::hash(&LineAddr::new(i * 16), &mut h);
+            buckets.insert(h.finish() & 0xFFF);
+        }
+        assert!(buckets.len() > 2400, "{} buckets", buckets.len());
+    }
 
     #[test]
     fn sharer_set_basics() {

@@ -49,7 +49,7 @@ use crate::report::SimReport;
 /// A pending policy-driven invalidation of an L3 line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingInvalidation {
-    bank: usize,
+    /// The L3 line; its bank is `line.bank(l3_banks)`.
     line: LineAddr,
     /// The touch timestamp the prediction was made from; if the line has
     /// been touched since, the event is stale and is skipped.
@@ -723,13 +723,11 @@ impl CmpSystem {
             self.counts.l2_refreshes += s.refreshes;
             if let Some(l) = self.tiles[target].l2.line_mut(line) {
                 l.state = MesiState::Shared;
-                l.meta.mark_clean();
                 l.meta.touch(now);
             }
         }
         if let Some(l) = self.tiles[target].dl1.line_mut(line) {
             l.state = MesiState::Shared;
-            l.meta.mark_clean();
             l.meta.touch(now);
         }
         latency
@@ -871,14 +869,8 @@ impl CmpSystem {
         };
         let kind = line_kind(&l3_line);
         if let Some(when) = self.l3[bank].refresh.invalidation_time(kind, now) {
-            self.invalidations.schedule(
-                when,
-                PendingInvalidation {
-                    bank,
-                    line,
-                    touch: now,
-                },
-            );
+            self.invalidations
+                .schedule(when, PendingInvalidation { line, touch: now });
         }
     }
 
@@ -886,7 +878,8 @@ impl CmpSystem {
     fn drain_invalidations(&mut self, now: Cycle) {
         while self.invalidations.peek_time().is_some_and(|t| t <= now) {
             let ev = self.invalidations.pop().expect("peeked event exists");
-            let PendingInvalidation { bank, line, touch } = ev.event;
+            let PendingInvalidation { line, touch } = ev.event;
+            let bank = line.bank(self.cfg.l3_banks);
             let Some(current) = self.l3[bank].cache.line(line).copied() else {
                 continue;
             };

@@ -29,10 +29,12 @@ pub struct DeterministicRng {
     seed: u64,
 }
 
-/// SplitMix64 step: advances `x` and returns the next output.
-fn splitmix64(x: &mut u64) -> u64 {
-    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
+/// The SplitMix64 output function: a bijective 64-bit mixer in which every
+/// input bit affects every output bit. Seeds the generator's state, and is
+/// the hash of the coherence directory's line-address keys.
+#[must_use]
+pub const fn splitmix64(x: u64) -> u64 {
+    let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -45,7 +47,8 @@ impl DeterministicRng {
         let mut x = seed;
         let mut state = [0u64; 4];
         for s in &mut state {
-            *s = splitmix64(&mut x);
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            *s = splitmix64(x);
         }
         // xoshiro256++ must not start from the all-zero state.
         if state == [0; 4] {

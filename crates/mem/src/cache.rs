@@ -4,15 +4,20 @@
 //! not affect refresh behaviour or energy, so they are not simulated. The CMP
 //! simulator composes these arrays into the private L1/L2 and the banked,
 //! shared L3 of the paper's configuration.
+//!
+//! Every way of every set lives in one set-major `Vec<CacheLine>` (set `s`
+//! is `lines[s*ways..(s+1)*ways]`) beside one flat replacement store, so a
+//! tag search is a scan of `ways` adjacent 24-byte lines and building a
+//! cache makes three allocations (name, lines, replacement store) whatever
+//! its size.
 
 use refrint_engine::stats::StatRegistry;
 use refrint_engine::time::Cycle;
 
 use crate::addr::LineAddr;
 use crate::config::CacheGeometry;
-use crate::line::{CacheLine, MesiState};
-use crate::replacement::ReplacementKind;
-use crate::set::CacheSet;
+use crate::line::{CacheLine, LineMeta, MesiState};
+use crate::replacement::{ReplacementKind, ReplacementState};
 
 /// The outcome of looking up a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,12 +64,26 @@ struct CacheCounters {
     flushes: u64,
 }
 
+/// An empty way: invalid, address zero (never matched because `find`
+/// requires validity).
+const EMPTY_WAY: CacheLine = CacheLine {
+    addr: LineAddr::new(0),
+    state: MesiState::Invalid,
+    meta: LineMeta {
+        last_touch: Cycle::ZERO,
+    },
+};
+
 /// A set-associative cache array (one bank, for banked caches).
 #[derive(Debug, Clone)]
 pub struct Cache {
     name: String,
     geometry: CacheGeometry,
-    sets: Vec<CacheSet>,
+    /// Every way, set-major: set `s` is `lines[s*ways..(s+1)*ways]`.
+    lines: Vec<CacheLine>,
+    replacement: ReplacementState,
+    /// Associativity, as an index stride.
+    ways: usize,
     /// `num_sets - 1`, precomputed so set selection is a single mask.
     set_mask: u64,
     counters: CacheCounters,
@@ -85,13 +104,14 @@ impl Cache {
         replacement: ReplacementKind,
         seed: u64,
     ) -> Self {
-        let sets = (0..geometry.num_sets())
-            .map(|i| CacheSet::new(geometry.ways(), replacement, seed.wrapping_add(i)))
-            .collect();
+        let sets = geometry.num_sets() as usize;
+        let ways = geometry.ways();
         Cache {
             name: name.to_owned(),
             geometry,
-            sets,
+            lines: vec![EMPTY_WAY; sets * usize::from(ways)],
+            replacement: ReplacementState::new(replacement, sets, ways, seed),
+            ways: usize::from(ways),
             set_mask: geometry.num_sets() - 1,
             counters: CacheCounters::default(),
         }
@@ -136,21 +156,62 @@ impl Cache {
     }
 
     #[inline]
-    fn set_of(&self, addr: LineAddr) -> u64 {
+    fn set_of(&self, addr: LineAddr) -> usize {
         // num_sets is validated as a power of two at construction, so set
         // selection is a single mask — no per-access assertion.
-        addr.raw() & self.set_mask
+        (addr.raw() & self.set_mask) as usize
+    }
+
+    /// The index in `lines` of `way` in `set`.
+    #[inline]
+    fn slot(&self, set: usize, way: usize) -> usize {
+        set * self.ways + way
+    }
+
+    /// The ways of `set`.
+    #[inline]
+    fn ways_of(&self, set: usize) -> &[CacheLine] {
+        &self.lines[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// The way of `set` holding `addr`, if present and valid.
+    #[inline]
+    fn find(&self, set: usize, addr: LineAddr) -> Option<usize> {
+        self.ways_of(set)
+            .iter()
+            .position(|line| line.addr == addr && line.is_valid())
+    }
+
+    /// Records an access to `way` of `set` for replacement purposes.
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
+        self.replacement.on_access(set, way as u8);
+    }
+
+    /// Picks the way of `set` a fill goes to: the lowest-numbered invalid
+    /// way, else the replacement policy's victim.
+    fn pick_victim(&mut self, set: usize) -> usize {
+        if let Some(free) = self.ways_of(set).iter().position(|l| !l.is_valid()) {
+            return free;
+        }
+        usize::from(self.replacement.victim_all_valid(set))
+    }
+
+    /// The slot of the valid line holding `addr`, if present.
+    #[inline]
+    fn slot_of(&self, addr: LineAddr) -> Option<usize> {
+        let set = self.set_of(addr);
+        self.find(set, addr).map(|way| self.slot(set, way))
     }
 
     /// Looks up `addr` without modifying replacement or residency state.
     #[must_use]
     pub fn probe(&self, addr: LineAddr) -> Option<LookupOutcome> {
-        let set_index = self.set_of(addr);
-        let set = &self.sets[set_index as usize];
-        set.find(addr).map(|way| LookupOutcome {
-            set_index,
+        let set = self.set_of(addr);
+        self.find(set, addr).map(|way| LookupOutcome {
+            set_index: set as u64,
             way,
-            state: set.line(way).expect("found way is occupied").state,
+            state: self.lines[self.slot(set, way)].state,
         })
     }
 
@@ -169,30 +230,36 @@ impl Cache {
         addr: LineAddr,
         now: Cycle,
     ) -> Option<(CacheLine, LookupOutcome)> {
-        let set_index = self.set_of(addr);
-        let set = &mut self.sets[set_index as usize];
-        match set.find(addr) {
-            Some(way) => {
-                set.touch_way(way);
-                let line = set.line_mut(way).expect("found way is occupied");
-                let prev = *line;
-                line.meta.touch(now);
-                let state = line.state;
-                self.counters.hits += 1;
-                Some((
-                    prev,
-                    LookupOutcome {
-                        set_index,
-                        way,
-                        state,
-                    },
-                ))
-            }
-            None => {
-                self.counters.misses += 1;
-                None
-            }
-        }
+        let set = self.set_of(addr);
+        let Some(way) = self.find(set, addr) else {
+            self.counters.misses += 1;
+            return None;
+        };
+        self.touch(set, way);
+        let slot = self.slot(set, way);
+        let line = &mut self.lines[slot];
+        let prev = *line;
+        line.meta.touch(now);
+        self.counters.hits += 1;
+        Some((
+            prev,
+            LookupOutcome {
+                set_index: set as u64,
+                way,
+                state: prev.state,
+            },
+        ))
+    }
+
+    /// Finds `addr` (it must be present), records the access for
+    /// replacement and returns its slot.
+    fn touch_present(&mut self, addr: LineAddr, op: &str) -> usize {
+        let set = self.set_of(addr);
+        let Some(way) = self.find(set, addr) else {
+            panic!("{op} on a missing line");
+        };
+        self.touch(set, way);
+        self.slot(set, way)
     }
 
     /// Reads the line (it must be present), updating metadata.
@@ -201,11 +268,8 @@ impl Cache {
     ///
     /// Panics if the line is not present.
     pub fn read_hit(&mut self, addr: LineAddr, now: Cycle) {
-        let set_index = self.set_of(addr);
-        let set = &mut self.sets[set_index as usize];
-        let way = set.find(addr).expect("read_hit on a missing line");
-        set.touch_way(way);
-        set.line_mut(way).expect("found way is occupied").read(now);
+        let slot = self.touch_present(addr, "read_hit");
+        self.lines[slot].read(now);
         self.counters.reads += 1;
     }
 
@@ -215,31 +279,29 @@ impl Cache {
     ///
     /// Panics if the line is not present.
     pub fn write_hit(&mut self, addr: LineAddr, now: Cycle) {
-        let set_index = self.set_of(addr);
-        let set = &mut self.sets[set_index as usize];
-        let way = set.find(addr).expect("write_hit on a missing line");
-        set.touch_way(way);
-        set.line_mut(way).expect("found way is occupied").write(now);
+        let slot = self.touch_present(addr, "write_hit");
+        self.lines[slot].write(now);
         self.counters.writes += 1;
     }
 
     /// Fills `addr` in the given state, returning any valid line displaced.
     pub fn fill(&mut self, addr: LineAddr, state: MesiState, now: Cycle) -> Option<EvictedLine> {
-        let set_index = self.set_of(addr);
-        let set = &mut self.sets[set_index as usize];
+        let set = self.set_of(addr);
         debug_assert!(
-            set.find(addr).is_none(),
+            self.find(set, addr).is_none(),
             "fill of a line that is already present"
         );
-        let way = set.pick_victim();
-        let evicted = set.install(way, CacheLine::new(addr, state, now));
+        let way = self.pick_victim(set);
+        self.touch(set, way);
+        let slot = self.slot(set, way);
+        let previous = std::mem::replace(&mut self.lines[slot], CacheLine::new(addr, state, now));
         self.counters.fills += 1;
-        evicted.map(|line| {
+        previous.is_valid().then(|| {
             self.counters.evictions += 1;
-            if line.is_dirty() {
+            if previous.is_dirty() {
                 self.counters.dirty_evictions += 1;
             }
-            EvictedLine { line }
+            EvictedLine { line: previous }
         })
     }
 
@@ -247,15 +309,9 @@ impl Cache {
     ///
     /// Returns `false` if the line is not present.
     pub fn set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
-        let set_index = self.set_of(addr);
-        let set = &mut self.sets[set_index as usize];
-        match set.find(addr) {
-            Some(way) => {
-                let line = set.line_mut(way).expect("found way is occupied");
+        match self.line_mut(addr) {
+            Some(line) => {
                 line.state = state;
-                if !state.is_dirty() {
-                    line.meta.mark_clean();
-                }
                 true
             }
             None => false,
@@ -264,52 +320,44 @@ impl Cache {
 
     /// Invalidates `addr` if present, returning the line as it was.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
-        let set_index = self.set_of(addr);
-        let removed = self.sets[set_index as usize].invalidate(addr);
-        if removed.is_some() {
-            self.counters.invalidations += 1;
-        }
-        removed
+        let line = self.line_mut(addr)?;
+        let removed = *line;
+        line.invalidate();
+        self.counters.invalidations += 1;
+        Some(removed)
     }
 
     /// Immutable access to a resident line.
     #[must_use]
     pub fn line(&self, addr: LineAddr) -> Option<&CacheLine> {
-        let set_index = self.set_of(addr);
-        let set = &self.sets[set_index as usize];
-        set.find(addr).and_then(|way| set.line(way))
+        self.slot_of(addr).map(|slot| &self.lines[slot])
     }
 
     /// Mutable access to a resident line.
     pub fn line_mut(&mut self, addr: LineAddr) -> Option<&mut CacheLine> {
-        let set_index = self.set_of(addr);
-        let set = &mut self.sets[set_index as usize];
-        match set.find(addr) {
-            Some(way) => set.line_mut(way),
-            None => None,
-        }
+        self.slot_of(addr).map(|slot| &mut self.lines[slot])
     }
 
-    /// Iterates over all valid resident lines.
+    /// Iterates over all valid resident lines, set by set.
     pub fn iter_valid(&self) -> impl Iterator<Item = &CacheLine> {
-        self.sets.iter().flat_map(CacheSet::iter_valid)
+        self.lines.iter().filter(|l| l.is_valid())
     }
 
-    /// Iterates mutably over all valid resident lines.
+    /// Iterates mutably over all valid resident lines, set by set.
     pub fn iter_valid_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> {
-        self.sets.iter_mut().flat_map(CacheSet::iter_valid_mut)
+        self.lines.iter_mut().filter(|l| l.is_valid())
     }
 
     /// Number of valid resident lines.
     #[must_use]
     pub fn occupancy(&self) -> u64 {
-        self.sets.iter().map(|s| s.occupancy() as u64).sum()
+        self.iter_valid().count() as u64
     }
 
     /// Number of valid dirty resident lines.
     #[must_use]
     pub fn dirty_count(&self) -> u64 {
-        self.sets.iter().map(|s| s.dirty_count() as u64).sum()
+        self.iter_valid().filter(|l| l.is_dirty()).count() as u64
     }
 
     /// Copies every valid resident line into `out` (cleared first). Lets
@@ -324,13 +372,11 @@ impl Cache {
     /// Invalidates every line, returning the dirty ones (end-of-run flush).
     pub fn flush(&mut self) -> Vec<CacheLine> {
         let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for line in set.iter_valid_mut() {
-                if line.is_dirty() {
-                    dirty.push(*line);
-                }
-                line.invalidate();
+        for line in self.iter_valid_mut() {
+            if line.is_dirty() {
+                dirty.push(*line);
             }
+            line.invalidate();
         }
         self.counters.flushes += 1;
         self.counters.flushed_dirty += dirty.len() as u64;
@@ -346,6 +392,15 @@ mod tests {
     fn small_cache() -> Cache {
         // 8 sets x 2 ways x 64B = 1 KB.
         Cache::new("test", CacheGeometry::new(1024, 2, 64).unwrap())
+    }
+
+    /// One set of four ways, so every line conflicts with every other.
+    fn one_set() -> Cache {
+        Cache::new("set", CacheGeometry::new(4 * 64, 4, 64).unwrap())
+    }
+
+    fn way_of(c: &Cache, addr: u64) -> usize {
+        c.probe(LineAddr::new(addr)).expect("line is resident").way
     }
 
     #[test]
@@ -440,5 +495,93 @@ mod tests {
         }
         assert_eq!(c.occupancy(), 10);
         assert_eq!(c.iter_valid().count(), 10);
+    }
+
+    #[test]
+    fn find_and_install() {
+        let mut c = one_set();
+        assert!(c.probe(LineAddr::new(1)).is_none());
+        assert!(c
+            .fill(LineAddr::new(1), MesiState::Exclusive, Cycle::ZERO)
+            .is_none());
+        assert_eq!(way_of(&c, 1), 0, "an empty set fills its lowest way first");
+        assert_eq!(c.occupancy(), 1);
+    }
+
+    #[test]
+    fn fills_prefer_invalid_ways_then_evict_lru() {
+        let mut c = one_set();
+        for i in 0..4u64 {
+            assert!(c
+                .fill(LineAddr::new(i), MesiState::Shared, Cycle::new(i))
+                .is_none());
+            assert_eq!(way_of(&c, i), i as usize);
+        }
+        assert_eq!(c.occupancy(), 4);
+        // Next fill must evict line 0 (the LRU).
+        let evicted = c.fill(LineAddr::new(100), MesiState::Shared, Cycle::new(10));
+        assert_eq!(evicted.unwrap().line.addr, LineAddr::new(0));
+        assert_eq!(c.occupancy(), 4);
+    }
+
+    #[test]
+    fn touch_changes_lru_order() {
+        let mut c = one_set();
+        for i in 0..4u64 {
+            c.fill(LineAddr::new(i), MesiState::Shared, Cycle::new(i));
+        }
+        // Touch line 0 so line 1 becomes LRU.
+        assert!(c.lookup(LineAddr::new(0), Cycle::new(5)).is_some());
+        let evicted = c.fill(LineAddr::new(100), MesiState::Shared, Cycle::new(10));
+        assert_eq!(evicted.unwrap().line.addr, LineAddr::new(1));
+    }
+
+    #[test]
+    fn invalid_way_preferred_over_lru() {
+        let mut c = one_set();
+        for i in 0..4u64 {
+            c.fill(LineAddr::new(i), MesiState::Shared, Cycle::new(i));
+        }
+        // Way 2 is freed while way 0 is the LRU: the fill takes way 2.
+        c.invalidate(LineAddr::new(2));
+        assert!(c
+            .fill(LineAddr::new(100), MesiState::Shared, Cycle::new(10))
+            .is_none());
+        assert_eq!(way_of(&c, 100), 2);
+        assert_eq!(c.occupancy(), 4);
+    }
+
+    #[test]
+    fn invalidate_removes_line() {
+        let mut c = one_set();
+        c.fill(LineAddr::new(5), MesiState::Modified, Cycle::ZERO);
+        assert_eq!(c.dirty_count(), 1);
+        let removed = c.invalidate(LineAddr::new(5)).unwrap();
+        assert!(removed.is_dirty());
+        assert!(c.probe(LineAddr::new(5)).is_none());
+        assert_eq!(c.occupancy(), 0);
+        assert!(c.invalidate(LineAddr::new(5)).is_none());
+    }
+
+    #[test]
+    fn line_accessors() {
+        let mut c = one_set();
+        c.fill(LineAddr::new(9), MesiState::Exclusive, Cycle::new(3));
+        assert_eq!(c.line(LineAddr::new(9)).unwrap().addr, LineAddr::new(9));
+        c.line_mut(LineAddr::new(9)).unwrap().write(Cycle::new(7));
+        assert!(c.line(LineAddr::new(9)).unwrap().is_dirty());
+        assert!(c.line(LineAddr::new(99)).is_none());
+    }
+
+    #[test]
+    fn iter_valid_mut_allows_bulk_updates() {
+        let mut c = one_set();
+        for i in 0..3u64 {
+            c.fill(LineAddr::new(i), MesiState::Exclusive, Cycle::ZERO);
+        }
+        for l in c.iter_valid_mut() {
+            l.write(Cycle::new(9));
+        }
+        assert_eq!(c.dirty_count(), 3);
     }
 }

@@ -7,10 +7,11 @@
 //! * [`addr`] — physical addresses, line addresses, and the static
 //!   address-to-bank mapping used by the shared L3.
 //! * [`line`] — per-line coherence/validity state and residency metadata
-//!   (last-touch cycle, dirty-since cycle, refresh counters) consumed by the
-//!   eDRAM refresh policies.
-//! * [`replacement`] — LRU, pseudo-LRU (tree) and random replacement.
-//! * [`set`] / [`cache`] — set-associative arrays with configurable geometry.
+//!   (the last-touch cycle only) consumed by the eDRAM refresh policies.
+//! * [`replacement`] — LRU, pseudo-LRU (tree) and random replacement, one
+//!   flat store per cache.
+//! * [`cache`] — set-associative arrays with configurable geometry, every
+//!   way of every set in one set-major line vector.
 //! * [`config`] — cache geometry and latency configuration (paper Table 5.1).
 //! * [`dram`] — the off-chip DRAM model (fixed 40 ns access in the paper).
 //!
@@ -39,7 +40,6 @@ pub mod dram;
 pub mod error;
 pub mod line;
 pub mod replacement;
-pub mod set;
 
 pub use addr::{Addr, LineAddr};
 pub use cache::{Cache, EvictedLine, LookupOutcome};
